@@ -11,8 +11,12 @@
 //! ```text
 //! cargo run -p wino-bench --release --bin fig5 -- [--full] [--threads N]
 //!     [--reps N] [--net VGG|FusionNet|C3D|3DUNet] [--fft-all] [--pipelined]
-//!     [--jit] [--list] [--json]
+//!     [--mono] [--list] [--json]
 //! ```
+//!
+//! The Winograd rows run stage 2 on the plan-time default engine (the JIT
+//! where AVX-512F is present); `--mono` adds an F(4ᵈ) row pinned to the
+//! monomorphised engine for comparison.
 //!
 //! `--json` replaces the CSV with a JSON array of the same rows (one
 //! object per row, keyed by column name).
@@ -111,12 +115,12 @@ fn main() {
             }
         }
 
-        // Optional: the machine-code (JIT) stage-2 backend on F(4ᵈ).
-        if args.flag("--jit") && wino_simd::cpu_has_avx512f() {
-            let opts = ConvOptions { stage2: wino_conv::Stage2Backend::Jit, ..Default::default() };
+        // Optional: the monomorphised stage-2 engine pinned on F(4ᵈ).
+        if args.flag("--mono") {
+            let opts = ConvOptions { stage2: wino_conv::Stage2Backend::Mono, ..Default::default() };
             let m = vec![4usize; layer.rank()];
             if let Some(mut meas) = run_winograd(layer, &m, false, opts, exec.as_ref(), reps) {
-                meas.implementation = format!("{} [jit]", meas.implementation);
+                meas.implementation = format!("{} [mono]", meas.implementation);
                 rows.push(meas);
             }
         }

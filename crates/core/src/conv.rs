@@ -443,8 +443,15 @@ mod tests {
         let shape = ConvShape::new(1, 256, 16, &dims, &[3, 3], &[1, 1]).unwrap();
         let want = direct_reference(&img, &ker, &[1, 1]);
 
+        // Compensated plans run on the mono engine, so the plain baseline
+        // is pinned to it too: the comparison is of the two reductions,
+        // not of the two engines' FMA orders.
         let run = |compensated: bool| {
-            let opts = ConvOptions { compensated, ..Default::default() };
+            let opts = ConvOptions {
+                compensated,
+                stage2: crate::plan::Stage2Backend::Mono,
+                ..Default::default()
+            };
             let layer = WinogradLayer::new(shape.clone(), &[2, 2], opts).unwrap();
             let input = BlockedImage::from_simple(&img).unwrap();
             let kernels = BlockedKernels::from_simple(&ker).unwrap();

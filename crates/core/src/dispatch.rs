@@ -37,7 +37,7 @@ use wino_tensor::{unflatten, BlockedImage, BlockedKernels, ConvGeometry, ConvSha
 
 use crate::error::WinoError;
 use crate::net::{FallbackReason, LayerBackend};
-use crate::plan::{ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK};
+use crate::plan::{ConvOptions, PlanError, Scratch, WinogradLayer, MAX_RANK};
 use crate::select::{plan_with_fallback, FallbackPolicy};
 
 /// One phase of the polyphase (sub-lattice) decomposition: the stride-1
@@ -259,10 +259,7 @@ impl DispatchPlan {
     /// The backend this route reports as ([`LayerBackend::name`]).
     pub fn backend(&self) -> LayerBackend {
         match &self.route {
-            Route::Direct(p) => match p.opts.stage2 {
-                Stage2Backend::Jit => LayerBackend::WinogradJit,
-                Stage2Backend::Mono => LayerBackend::WinogradMono,
-            },
+            Route::Direct(p) => p.opts.winograd_backend(),
             Route::Polyphase { .. } => LayerBackend::WinogradPoly,
             Route::Grouped { .. } => LayerBackend::WinogradGrouped,
             Route::Im2col => LayerBackend::Im2col,
@@ -636,7 +633,7 @@ mod tests {
     fn identity_routes_direct() {
         let s = ConvShape::new(1, 16, 16, &[10, 10], &[3, 3], &[1, 1]).unwrap();
         let (backend, fb) = check(&s, &[2, 2], ConvOptions::default(), 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradMono);
+        assert_eq!(backend, ConvOptions::default().winograd_backend());
         assert!(fb.is_none());
     }
 

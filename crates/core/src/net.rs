@@ -24,7 +24,7 @@ use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvShape};
 use crate::conv::TransformedKernels;
 use crate::dispatch::{plan_dispatch, DispatchPlan, Route};
 use crate::error::{check_finite, NumericError, WinoError};
-use crate::plan::{ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer};
+use crate::plan::{ConvOptions, PlanError, Scratch, WinogradLayer};
 use crate::select::{plan_with_fallback, FallbackPolicy};
 use crate::sentinel::{verify_sample, SentinelError};
 
@@ -268,7 +268,7 @@ impl Network {
 
     /// Plan a network, degrading per `policy` instead of failing where the
     /// policy allows it: a JIT plan failure retries with
-    /// [`Stage2Backend::Mono`], and a layer with no Winograd plan at all
+    /// [`crate::Stage2Backend::Mono`], and a layer with no Winograd plan at all
     /// is planned as an im2col layer. Downgrades are recorded on the
     /// [`NetLayer`] and surface in every [`ExecutionReport`].
     ///
@@ -573,10 +573,7 @@ impl Network {
         let _ftz = wino_simd::FlushDenormals::engage();
         let mut out = match &layer.plan {
             LayerPlan::Winograd(plan) => {
-                report.backend = match plan.opts.stage2 {
-                    Stage2Backend::Jit => LayerBackend::WinogradJit,
-                    Stage2Backend::Mono => LayerBackend::WinogradMono,
-                };
+                report.backend = plan.opts.winograd_backend();
                 let out = match Self::winograd_attempt(scratch, plan, input, kernels, exec) {
                     Ok(out) => out,
                     Err(WinoError::Alloc(cause)) => {
@@ -1150,7 +1147,7 @@ mod tests {
         assert_eq!(reports.len(), 2);
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.layer, i);
-            assert_eq!(r.backend, LayerBackend::WinogradMono);
+            assert_eq!(r.backend, ConvOptions::default().winograd_backend());
             assert!(r.fallback.is_none());
         }
     }

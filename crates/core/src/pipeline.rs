@@ -90,7 +90,6 @@ pub(crate) fn forward_pipelined(
         &scratch.x,
         y_ptr,
         &scratch.y,
-        false,
         scratch.comp_bufs(),
     );
     let ctx3 = Stage3Ctx::new(layer, &scratch.y, output.as_mut_ptr(), layer.opts.streaming_stores);

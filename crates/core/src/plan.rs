@@ -18,6 +18,7 @@ use wino_tensor::{BlockedMatrices, ConvShape, ShapeError, TileGrid};
 use wino_transforms::{FmrPlan, PointSchedule};
 
 use crate::layout::TileMajor;
+use crate::net::LayerBackend;
 
 /// Maximum supported spatial rank (the stages use fixed-size index
 /// buffers; 6 covers any practical ConvNet with room to spare).
@@ -95,13 +96,39 @@ impl MemoryBudget {
 /// Which engine executes stage 2's micro-kernels.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Stage2Backend {
-    /// Const-generic monomorphised Rust kernels (`wino-gemm`). Default.
+    /// Let the planner choose (the default): [`WinogradLayer::new`]
+    /// resolves it to [`Stage2Backend::Jit`] when the running CPU has
+    /// AVX-512F and the plan is not [`ConvOptions::compensated`], to
+    /// [`Stage2Backend::Mono`] otherwise, and stores the result in the
+    /// plan's `opts.stage2`. A plan never carries `Auto`. Resolving to
+    /// `Mono` is a selection, not a degradation: no
+    /// [`crate::FallbackReason`] is recorded for it.
     #[default]
+    Auto,
+    /// Const-generic monomorphised Rust kernels (`wino-gemm`), running on
+    /// the compile-time [`wino_simd::F32x16`] backend.
     Mono,
-    /// Run-time generated machine code (`wino-jit`) — the paper's JIT,
-    /// including the in-kernel streaming scatter. Requires AVX-512F at
-    /// runtime; planning fails with [`PlanError::Jit`] otherwise.
+    /// Run-time generated AVX-512 machine code (`wino-jit`) — the paper's
+    /// JIT, including the in-kernel scatter. Independent of the
+    /// compile-time ISA, but requires AVX-512F at run time; planning
+    /// fails with [`PlanError::Jit`] otherwise.
     Jit,
+}
+
+impl Stage2Backend {
+    /// The engine a plan runs on: `Auto` becomes `Jit` when the running
+    /// CPU has AVX-512F and the reduction is not `compensated` (the JIT
+    /// kernels have no compensated variant), `Mono` otherwise. Explicit
+    /// `Mono` and `Jit` are pins and are returned unchanged.
+    pub(crate) fn resolve(self, compensated: bool) -> Stage2Backend {
+        match self {
+            Stage2Backend::Auto if !compensated && wino_simd::cpu_has_avx512f() => {
+                Stage2Backend::Jit
+            }
+            Stage2Backend::Auto => Stage2Backend::Mono,
+            pinned => pinned,
+        }
+    }
 }
 
 /// How the three pipeline stages are scheduled across fork–joins.
@@ -162,7 +189,8 @@ pub struct ConvOptions {
     /// Interpolation-point schedule for the transform generation (the
     /// Table 3 conditioning ablation).
     pub points: PointSchedule,
-    /// Stage-2 kernel engine.
+    /// Stage-2 kernel engine; [`Stage2Backend::Auto`] by default, which
+    /// planning resolves to the engine that actually runs.
     pub stage2: Stage2Backend,
     /// A-priori accuracy budget. `None` (the default) admits any tile;
     /// `Some(b)` makes planning fail with [`PlanError::AccuracyBudget`]
@@ -177,7 +205,8 @@ pub struct ConvOptions {
     /// for high-accuracy plans: each `C_blk` reduction block is computed
     /// separately and folded into the accumulator with an error-
     /// compensation term instead of the plain β-accumulating
-    /// micro-kernel. Mono backend only.
+    /// micro-kernel. Mono backend only: the default engine resolves to
+    /// mono for these plans, and a `Jit` pin fails to plan.
     pub compensated: bool,
     /// Barrier watchdog deadline for fork–join pools built on behalf of
     /// this configuration (e.g. by the serving layer's worker executor).
@@ -261,6 +290,24 @@ impl ConvOptions {
     /// dimensions — the only geometry the monolithic planner accepts.
     pub fn has_identity_geometry(&self, rank: usize) -> bool {
         self.geometry(rank).is_identity()
+    }
+
+    /// The backend a direct Winograd plan of these options reports as: its
+    /// stage-2 engine, with [`Stage2Backend::Auto`] resolved as planning
+    /// resolves it. On a plan's own `opts` this is the engine that ran.
+    pub fn winograd_backend(&self) -> LayerBackend {
+        match self.stage2.resolve(self.compensated) {
+            Stage2Backend::Jit => LayerBackend::WinogradJit,
+            _ => LayerBackend::WinogradMono,
+        }
+    }
+
+    /// Whether stage 2's fused ⑥ scatter uses non-temporal stores: the
+    /// monolithic schedules follow [`Self::streaming_stores`]; the
+    /// pipelined schedule never streams, so `y` stays cache-resident for
+    /// its own stage 3. Both engines take the policy from here.
+    pub(crate) fn scatter_streaming(&self) -> bool {
+        self.streaming_stores && self.schedule != Schedule::Pipelined
     }
 
     /// These options with the geometry fields reset to the identity — the
@@ -362,8 +409,8 @@ impl From<ShapeError> for PlanError {
 
 /// Pre-compiled machine-code kernels for the JIT stage-2 backend: the
 /// β = 0/1 block kernels for intermediate reduction blocks and the
-/// streaming-scatter kernels (full-height and tail panels) for the final
-/// one.
+/// scatter kernels (full-height and tail panels, with the plan's
+/// [`ConvOptions::scatter_streaming`] store policy) for the final one.
 pub(crate) struct JitStage2 {
     pub block0: Option<wino_jit::JitKernel>,
     pub block1: Option<wino_jit::JitKernel>,
@@ -399,7 +446,8 @@ pub struct WinogradLayer {
 
 impl WinogradLayer {
     /// Plan `F(m₁×…×m_n, r₁×…×r_n)` for the given layer.
-    pub fn new(shape: ConvShape, m: &[usize], opts: ConvOptions) -> Result<WinogradLayer, PlanError> {
+    pub fn new(shape: ConvShape, m: &[usize], mut opts: ConvOptions) -> Result<WinogradLayer, PlanError> {
+        opts.stage2 = opts.stage2.resolve(opts.compensated);
         let rank = shape.rank();
         if rank > MAX_RANK {
             return Err(PlanError::RankTooHigh { rank });
@@ -463,21 +511,6 @@ impl WinogradLayer {
             }
             None => default_shape(shape.in_channels, shape.out_channels, rows),
         };
-        let jit = match opts.stage2 {
-            Stage2Backend::Mono => None,
-            Stage2Backend::Jit => {
-                if opts.schedule == Schedule::Pipelined {
-                    // The JIT kernels hard-code the streaming scatter;
-                    // rejecting here lets `plan_with_fallback` degrade to
-                    // the mono backend instead of silently changing the
-                    // store policy mid-pipeline.
-                    return Err(PlanError::Jit {
-                        reason: "pipelined schedule requires the mono stage-2 backend",
-                    });
-                }
-                Some(Self::build_jit(&shape, &grid, block, rows, opts)?)
-            }
-        };
         let t_vol = grid.tile_volume();
         let superblock = match opts.superblock {
             Some(sb) => {
@@ -493,12 +526,16 @@ impl WinogradLayer {
                 wino_gemm::SUPERBLOCK_L2_BYTES,
             ),
         };
-        let layer = WinogradLayer { shape, grid, plans, block, superblock, opts, jit };
+        let mut layer = WinogradLayer { shape, grid, plans, block, superblock, opts, jit: None };
         if let Some(mb) = opts.memory {
             let need_bytes = layer.footprint(mb.threads).total();
             if !mb.admits(need_bytes) {
                 return Err(PlanError::MemoryBudget { need_bytes, budget_bytes: mb.max_bytes });
             }
+        }
+        // Compile last, so plans rejected above emit no machine code.
+        if opts.stage2 == Stage2Backend::Jit {
+            layer.jit = Some(Self::build_jit(&layer.shape, &layer.grid, block, rows, opts)?);
         }
         Ok(layer)
     }
@@ -530,6 +567,7 @@ impl WinogradLayer {
         let (nb, cb, cpb) = (block.n_blk, block.c_blk, block.cp_blk);
 
         let fused = opts.schedule.fuses_scatter();
+        let scatter = JitOutput::Scatter { group_stride, streaming: opts.scatter_streaming() };
         let need_block0 = !fused || k_blocks > 1;
         let need_block1 = k_blocks > 1 && (!fused || k_blocks > 2);
         let scatter_beta = k_blocks > 1;
@@ -544,24 +582,12 @@ impl WinogradLayer {
             None
         };
         let (scatter_full, scatter_tail) = if fused {
-            let full = JitKernel::compile_with_output(
-                nb,
-                cb,
-                cpb,
-                scatter_beta,
-                JitOutput::Scatter { group_stride },
-            )
-            .map_err(jit_err)?;
+            let full =
+                JitKernel::compile_with_output(nb, cb, cpb, scatter_beta, scatter).map_err(jit_err)?;
             let tail_kernel = if tail != 0 {
                 Some(
-                    JitKernel::compile_with_output(
-                        tail,
-                        cb,
-                        cpb,
-                        scatter_beta,
-                        JitOutput::Scatter { group_stride },
-                    )
-                    .map_err(jit_err)?,
+                    JitKernel::compile_with_output(tail, cb, cpb, scatter_beta, scatter)
+                        .map_err(jit_err)?,
                 )
             } else {
                 None
@@ -988,16 +1014,42 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_rejects_jit_backend() {
-        let opts = ConvOptions {
-            schedule: Schedule::Pipelined,
-            stage2: Stage2Backend::Jit,
-            ..Default::default()
-        };
-        assert!(matches!(
-            WinogradLayer::new(shape2d(), &[4, 4], opts),
-            Err(PlanError::Jit { .. })
-        ));
+    fn default_engine_resolves_at_plan_time() {
+        use crate::select::{plan_with_fallback, FallbackPolicy};
+        let avx512 = wino_simd::cpu_has_avx512f();
+        let default = ConvOptions::default();
+        let compensated = ConvOptions { compensated: true, ..Default::default() };
+        let pin = |stage2| ConvOptions { stage2, ..Default::default() };
+        assert_eq!(default.stage2, Stage2Backend::Auto);
+
+        // Default → Jit if and only if the CPU has AVX-512F; the plan
+        // carries the resolved engine, never `Auto`.
+        let plan = WinogradLayer::new(shape2d(), &[4, 4], default).unwrap();
+        let want = if avx512 { Stage2Backend::Jit } else { Stage2Backend::Mono };
+        assert_eq!(plan.opts.stage2, want);
+        assert_eq!(plan.jit.is_some(), avx512);
+
+        // Compensated → Mono, on every CPU.
+        let plan = WinogradLayer::new(shape2d(), &[4, 4], compensated).unwrap();
+        assert_eq!(plan.opts.stage2, Stage2Backend::Mono);
+        assert!(plan.jit.is_none());
+
+        // Explicit pins are honoured.
+        let plan = WinogradLayer::new(shape2d(), &[4, 4], pin(Stage2Backend::Mono)).unwrap();
+        assert_eq!(plan.opts.stage2, Stage2Backend::Mono);
+        match WinogradLayer::new(shape2d(), &[4, 4], pin(Stage2Backend::Jit)) {
+            Ok(plan) => assert!(avx512 && plan.opts.stage2 == Stage2Backend::Jit),
+            Err(e) => assert!(!avx512 && matches!(e, PlanError::Jit { .. })),
+        }
+
+        // Resolving is a selection, not a degradation: no fallback reason,
+        // and the reported backend is the one the rule predicts.
+        for opts in [default, compensated, pin(Stage2Backend::Mono)] {
+            let (plan, fb) =
+                plan_with_fallback(&shape2d(), &[4, 4], opts, &FallbackPolicy::default()).unwrap();
+            assert!(fb.is_none(), "{:?}", opts.stage2);
+            assert_eq!(plan.opts.winograd_backend(), opts.winograd_backend());
+        }
     }
 
     #[test]

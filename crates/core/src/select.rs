@@ -110,7 +110,7 @@ pub fn plan_with_fallback(
 ) -> Result<(WinogradLayer, Option<PlanError>), PlanError> {
     match WinogradLayer::new(shape.clone(), m, opts) {
         Ok(plan) => Ok((plan, None)),
-        Err(e @ PlanError::Jit { .. }) if policy.jit_to_mono && opts.stage2 == Stage2Backend::Jit => {
+        Err(e @ PlanError::Jit { .. }) if policy.jit_to_mono && opts.stage2 != Stage2Backend::Mono => {
             let mono = ConvOptions { stage2: Stage2Backend::Mono, ..opts };
             let plan = WinogradLayer::new(shape.clone(), m, mono)?;
             Ok((plan, Some(e)))
@@ -479,7 +479,7 @@ mod tests {
             plan_with_fallback(&s, &[2, 2], ConvOptions::default(), &FallbackPolicy::default())
                 .unwrap();
         assert!(fb.is_none());
-        assert_eq!(plan.opts.stage2, Stage2Backend::Mono);
+        assert_eq!(plan.opts.winograd_backend(), ConvOptions::default().winograd_backend());
     }
 
     #[test]

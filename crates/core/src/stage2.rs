@@ -46,9 +46,9 @@ pub(crate) struct Stage2Ctx<'a> {
     c_blk: usize,
     cp_blk: usize,
     fused: bool,
-    /// NT stores for the fused ⑥ scatter. The monolithic schedules tie
-    /// this to [`crate::ConvOptions::streaming_stores`]; the pipeline
-    /// passes `false` so `y` stays cache-resident for its own stage 3.
+    /// NT stores for the fused ⑥ scatter of the mono engine
+    /// ([`crate::ConvOptions::scatter_streaming`]; the JIT kernels have
+    /// the same policy compiled in).
     scatter_streaming: bool,
     /// Per-slot buffers for the compensated reduction, present exactly
     /// when the plan opted into [`crate::ConvOptions::compensated`].
@@ -65,7 +65,6 @@ impl<'a> Stage2Ctx<'a> {
         x_meta: &'a BlockedMatrices,
         y: *mut f32,
         y_meta: &'a TileMajor,
-        scatter_streaming: bool,
         cbufs: Option<&'a [CompBufCell]>,
     ) -> Stage2Ctx<'a> {
         Stage2Ctx {
@@ -85,7 +84,7 @@ impl<'a> Stage2Ctx<'a> {
             c_blk: layer.block.c_blk,
             cp_blk: layer.block.cp_blk,
             fused: layer.opts.schedule.fuses_scatter(),
-            scatter_streaming,
+            scatter_streaming: layer.opts.scatter_streaming(),
             cbufs,
         }
     }
@@ -326,7 +325,6 @@ pub fn multiply_with(
         &scratch.x,
         y_ptr,
         &scratch.y,
-        layer.opts.streaming_stores,
         scratch.comp_bufs(),
     );
     let stage_start = crate::spans::span_start();

@@ -1,7 +1,7 @@
 //! A small x86-64 encoder for exactly the instruction repertoire of the
 //! paper's GEMM micro-kernel (§4.3.1): EVEX-encoded AVX-512 loads, stores,
-//! streaming stores, broadcast FMAs, register zeroing, and legacy
-//! prefetch hints.
+//! streaming stores, broadcast FMAs, register zeroing, legacy prefetch
+//! hints, and the closing `vzeroupper; ret`.
 //!
 //! EVEX layout refresher (Intel SDM Vol. 2, §2.7):
 //!
@@ -173,6 +173,12 @@ impl Asm {
         self.code.extend_from_slice(&[0x0F, 0xAE, 0xF8]);
     }
 
+    /// `vzeroupper` — clear the upper vector state before returning, so
+    /// legacy-SSE code the caller runs next pays no transition penalty.
+    pub fn vzeroupper(&mut self) {
+        self.code.extend_from_slice(&[0xC5, 0xF8, 0x77]);
+    }
+
     /// `ret`.
     pub fn ret(&mut self) {
         self.code.push(0xC3);
@@ -219,11 +225,12 @@ mod tests {
         a.prefetcht0(Gpr::Rsi, 0x80);
         assert_eq!(a.code, vec![0x0F, 0x18, 0x8E, 0x80, 0, 0, 0]);
 
-        // ret / sfence
+        // sfence / vzeroupper / ret
         let mut a = Asm::new();
         a.sfence();
+        a.vzeroupper();
         a.ret();
-        assert_eq!(a.code, vec![0x0F, 0xAE, 0xF8, 0xC3]);
+        assert_eq!(a.code, vec![0x0F, 0xAE, 0xF8, 0xC5, 0xF8, 0x77, 0xC3]);
     }
 
     #[test]

@@ -15,9 +15,16 @@
 //!         prefetcht0 upcoming V̂ and Û lines
 //!         for j in 0..n_blk:
 //!             zmm_j += bcst(Û[j,k]) · zmm30   (scalar-vector FMA)
-//!     store zmm0..zmm{n_blk-1} back to X̂
-//! ret
+//!     store zmm0..zmm{n_blk-1} back to X̂ (or scatter them, streaming
+//!     or not, into the tile-major layout)
+//! vzeroupper; ret
 //! ```
+//!
+//! The closing `vzeroupper` matters outside the kernel: without it the
+//! dirty upper vector state makes every later legacy-SSE instruction on
+//! the calling thread pay a transition penalty (on an AVX-512 Xeon, the
+//! scalar `F32x16` build's transform stages ran up to 1.9× slower after
+//! a JIT call).
 //!
 //! Correctness is established by differential testing against the
 //! monomorphised Rust kernel and the scalar reference in `wino-gemm`.
@@ -60,11 +67,12 @@ const PF_DIST: usize = 4;
 pub enum JitOutput {
     /// Store accumulators back into the contiguous `X̂` block.
     Block,
-    /// Operation ⑥: scatter row `j` with non-temporal streaming stores to
-    /// `row_ptrs[j] + q·group_stride` floats for each 16-wide column
-    /// group `q` (`row_ptrs` is the kernel's 4th argument). The group
-    /// stride is baked into the code — it is a per-plan constant.
-    Scatter { group_stride: usize },
+    /// Operation ⑥: scatter row `j` to `row_ptrs[j] + q·group_stride`
+    /// floats for each 16-wide column group `q` (`row_ptrs` is the
+    /// kernel's 4th argument), with non-temporal `vmovntps` when
+    /// `streaming` and plain `vmovups` otherwise. Both are baked into the
+    /// code — they are per-plan constants.
+    Scatter { group_stride: usize, streaming: bool },
 }
 
 /// A compiled micro-kernel `X̂ = β·X̂ + Û·V̂` for fixed
@@ -150,17 +158,22 @@ impl JitKernel {
                         a.vmovups_store(Gpr::Rdx, xq + (j * cp_blk * 4) as i32, j as u8);
                     }
                 }
-                JitOutput::Scatter { group_stride } => {
+                JitOutput::Scatter { group_stride, streaming } => {
                     // Operation ⑥: fetch each row's destination from the
-                    // pointer table (rcx) and stream the register out.
+                    // pointer table (rcx) and store the register there.
                     let off = (q * group_stride * 4) as i32;
                     for j in 0..n_blk {
                         a.mov_load64(Gpr::R8, Gpr::Rcx, (j * 8) as i32);
-                        a.vmovntps(Gpr::R8, off, j as u8);
+                        if streaming {
+                            a.vmovntps(Gpr::R8, off, j as u8);
+                        } else {
+                            a.vmovups_store(Gpr::R8, off, j as u8);
+                        }
                     }
                 }
             }
         }
+        a.vzeroupper();
         a.ret();
         let code_bytes = a.len();
         let buf = ExecBuffer::from_code(&a.code).map_err(JitError::Os)?;
@@ -219,8 +232,8 @@ impl JitKernel {
     ///   disjoint from `u`/`v`/`x`,
     /// * `x` is read when `β = 1` (never written).
     ///
-    /// Streaming stores require an `sfence` (or barrier) before the data
-    /// is read by another thread.
+    /// Streaming stores (`streaming: true`) require an `sfence` (or
+    /// barrier) before the data is read by another thread.
     #[inline]
     pub unsafe fn call_scatter(
         &self,
@@ -422,9 +435,13 @@ mod tests {
         if !have_avx512() {
             return;
         }
-        for (n_blk, c_blk, cp_blk, beta) in
-            [(3usize, 16usize, 32usize, false), (8, 48, 64, true), (1, 5, 16, false)]
-        {
+        for (n_blk, c_blk, cp_blk, beta, streaming) in [
+            (3usize, 16usize, 32usize, false, true),
+            (8, 48, 64, true, true),
+            (1, 5, 16, false, true),
+            (3, 16, 32, false, false),
+            (8, 48, 64, true, false),
+        ] {
             let u = filled(n_blk * c_blk, 11);
             let v = filled(c_blk * cp_blk, 12);
             let x0 = filled(n_blk * cp_blk, 13);
@@ -443,7 +460,7 @@ mod tests {
                 c_blk,
                 cp_blk,
                 beta,
-                JitOutput::Scatter { group_stride },
+                JitOutput::Scatter { group_stride, streaming },
             )
             .unwrap();
             // SAFETY: buffers match the compiled block shape; row pointers
@@ -458,7 +475,7 @@ mod tests {
                         let want = x_ref[j * cp_blk + q * 16 + lane];
                         assert!(
                             (got - want).abs() <= 1e-4 * want.abs().max(1.0),
-                            "n_blk={n_blk} beta={beta} row {j} group {q} lane {lane}: {got} vs {want}"
+                            "n_blk={n_blk} beta={beta} streaming={streaming} row {j} group {q} lane {lane}: {got} vs {want}"
                         );
                     }
                 }
@@ -491,7 +508,7 @@ mod tests {
                     c_blk,
                     cp_blk,
                     false,
-                    JitOutput::Scatter { group_stride },
+                    JitOutput::Scatter { group_stride, streaming: true },
                 )
                 .unwrap();
                 // SAFETY: buffers match the compiled block shape; row
@@ -527,6 +544,36 @@ mod tests {
         assert_eq!(jit.len(), rust.len());
         for (i, (a, b)) in jit.iter().zip(&rust).enumerate() {
             assert!((a - b).abs() <= 1e-5 * b.abs().max(1.0), "index {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn every_kernel_variant_ends_in_vzeroupper_ret() {
+        if !have_avx512() {
+            return;
+        }
+        // Block and scatter (streaming or not), β = 0 and 1, full-height
+        // and tail panel heights.
+        let outputs = [
+            JitOutput::Block,
+            JitOutput::Scatter { group_stride: 64, streaming: true },
+            JitOutput::Scatter { group_stride: 64, streaming: false },
+        ];
+        for output in outputs {
+            for beta in [false, true] {
+                for n_blk in [8, 3] {
+                    let k = JitKernel::compile_with_output(n_blk, 32, 32, beta, output).unwrap();
+                    // SAFETY: the mapping is readable and holds
+                    // `code_bytes` bytes of emitted code.
+                    let code =
+                        unsafe { std::slice::from_raw_parts(k.buf.entry(), k.code_bytes()) };
+                    assert_eq!(
+                        code[code.len() - 4..],
+                        [0xC5, 0xF8, 0x77, 0xC3],
+                        "{output:?} beta={beta} n_blk={n_blk}"
+                    );
+                }
+            }
         }
     }
 

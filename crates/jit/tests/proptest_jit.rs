@@ -63,6 +63,7 @@ fn jit_scatter_kernel_matches_reference() {
         let beta = rng.next_bool();
         let stride_extra = rng.range_usize(0, 3); // group_stride = cp-group + padding·16
         let seed = rng.next_u64() % 10_000;
+        let streaming = rng.next_bool(); // vmovntps or vmovups
         let cp_blk = cp_q * 16;
         let group_stride = 16 + stride_extra * 16;
         let u = filled(n_blk * c_blk, seed);
@@ -82,7 +83,7 @@ fn jit_scatter_kernel_matches_reference() {
             c_blk,
             cp_blk,
             beta,
-            JitOutput::Scatter { group_stride },
+            JitOutput::Scatter { group_stride, streaming },
         )
         .unwrap();
         unsafe { kern.call_scatter(u.as_ptr(), v.as_ptr(), x0.as_ptr(), row_ptrs.as_ptr()) };

@@ -245,44 +245,28 @@ impl Server {
             opts.max_batch
         };
         // Fail fast on ill-formed geometry: if no batch-1 plan exists
-        // even under the fallback policy, serving can never succeed.
-        let probe_net = Network::with_policy(
-            1,
-            spec.in_channels,
-            &spec.image_dims,
-            &spec.layers,
-            spec.opts,
-            threads,
-            &opts.policy,
-        )
-        .map_err(WinoError::Plan)?;
+        // even under the fallback policy, serving can never succeed. The
+        // plan is kept: it serves the first batch-1 request.
+        let engine = Engine::new(spec, kernels, opts.policy, threads)?;
         // Fit the linear byte-pricing model for memory admission: the
         // analytic footprint of the batch-1 plan anchors the line, and
         // a batch-2 plan gives the marginal per-image slope. If no
         // batch-2 plan exists the whole batch-1 footprint is charged
         // per image — the conservative direction for admission.
         let memory = opts.memory_ceiling.map(|ceiling_bytes| {
-            let fp1 = probe_net.footprint(threads).total();
-            let per_image_bytes = Network::with_policy(
-                2,
-                spec.in_channels,
-                &spec.image_dims,
-                &spec.layers,
-                spec.opts,
-                threads,
-                &opts.policy,
-            )
-            .ok()
-            .map(|net2| net2.footprint(threads).total().saturating_sub(fp1))
-            .filter(|&d| d > 0)
-            .unwrap_or(fp1);
+            let fp1 = engine.batch1_plan().footprint(threads).total();
+            let per_image_bytes = engine
+                .plan(2, DegradeLevel::Full)
+                .ok()
+                .map(|net2| net2.footprint(threads).total().saturating_sub(fp1))
+                .filter(|&d| d > 0)
+                .unwrap_or(fp1);
             MemoryAdmission {
                 ceiling_bytes,
                 base_bytes: fp1.saturating_sub(per_image_bytes),
                 per_image_bytes,
             }
         });
-        drop(probe_net);
 
         let shared = Arc::new(Shared {
             queue: DeadlineQueue::new(opts.queue_capacity),
@@ -290,18 +274,15 @@ impl Server {
             breaker: CircuitBreaker::new(opts.breaker),
             stats: Stats::default(),
         });
-        let in_channels = spec.in_channels;
-        let image_dims = spec.image_dims.clone();
+        let in_channels = engine.spec.in_channels;
+        let image_dims = engine.spec.image_dims.clone();
         let worker = {
             let shared = Arc::clone(&shared);
-            let policy = opts.policy;
             let breaker = opts.breaker;
             let age = opts.max_batch_age;
             std::thread::Builder::new()
                 .name("wino-serve-batcher".into())
-                .spawn(move || {
-                    batcher_main(shared, spec, kernels, policy, breaker, threads, max_batch, age)
-                })
+                .spawn(move || batcher_main(shared, engine, breaker, threads, max_batch, age))
                 .expect("spawning the batcher thread")
         };
         Ok(Server {
@@ -555,13 +536,42 @@ struct Engine {
 }
 
 impl Engine {
+    /// An engine whose cache already holds the full rung's batch-1 plan;
+    /// fails if that plan cannot be built under `policy`.
     fn new(
         spec: ModelSpec,
         kernels: Vec<BlockedKernels>,
         policy: FallbackPolicy,
         threads: usize,
-    ) -> Engine {
-        Engine { spec, kernels, policy, threads, plans: HashMap::new() }
+    ) -> Result<Engine, WinoError> {
+        let mut engine = Engine { spec, kernels, policy, threads, plans: HashMap::new() };
+        let net = engine.plan(1, DegradeLevel::Full)?;
+        engine.plans.insert((1, DegradeLevel::Full as u8), net);
+        Ok(engine)
+    }
+
+    /// The full rung's batch-1 plan, built by [`Engine::new`].
+    fn batch1_plan(&self) -> &Network {
+        &self.plans[&(1, DegradeLevel::Full as u8)]
+    }
+
+    /// Plan the network for `batch` images on a Winograd rung: the spec's
+    /// own options, with stage 2 pinned to mono on the mono rung.
+    fn plan(&self, batch: usize, level: DegradeLevel) -> Result<Network, WinoError> {
+        let mut opts = self.spec.opts;
+        if level == DegradeLevel::Mono {
+            opts.stage2 = Stage2Backend::Mono;
+        }
+        Network::with_policy(
+            batch,
+            self.spec.in_channels,
+            &self.spec.image_dims,
+            &self.spec.layers,
+            opts,
+            self.threads,
+            &self.policy,
+        )
+        .map_err(WinoError::Plan)
     }
 
     fn run(
@@ -572,27 +582,12 @@ impl Engine {
     ) -> Result<(BlockedImage, Vec<ExecutionReport>), WinoError> {
         match level {
             DegradeLevel::Full | DegradeLevel::Mono => {
-                let net = match self.plans.entry((input.batch, level as u8)) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let mut opts = self.spec.opts;
-                        if level == DegradeLevel::Mono {
-                            opts.stage2 = Stage2Backend::Mono;
-                        }
-                        v.insert(
-                            Network::with_policy(
-                                input.batch,
-                                self.spec.in_channels,
-                                &self.spec.image_dims,
-                                &self.spec.layers,
-                                opts,
-                                self.threads,
-                                &self.policy,
-                            )
-                            .map_err(WinoError::Plan)?,
-                        )
-                    }
-                };
+                let key = (input.batch, level as u8);
+                if !self.plans.contains_key(&key) {
+                    let net = self.plan(input.batch, level)?;
+                    self.plans.insert(key, net);
+                }
+                let net = self.plans.get_mut(&key).expect("planned above");
                 net.run_net(input, &self.kernels, exec, &self.policy)
             }
             DegradeLevel::Im2col => self.run_im2col(input, exec),
@@ -684,22 +679,18 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-#[allow(clippy::too_many_arguments)] // spawn-boundary plumbing: every argument is distinct server state
 fn batcher_main(
     shared: Arc<Shared>,
-    spec: ModelSpec,
-    kernels: Vec<BlockedKernels>,
-    policy: FallbackPolicy,
+    mut engine: Engine,
     breaker_cfg: BreakerConfig,
     threads: usize,
     max_batch: usize,
     max_age: Duration,
 ) {
-    let watchdog = spec.opts.watchdog.unwrap_or_else(default_deadline);
-    let channels = spec.in_channels;
-    let dims = spec.image_dims.clone();
+    let watchdog = engine.spec.opts.watchdog.unwrap_or_else(default_deadline);
+    let channels = engine.spec.in_channels;
+    let dims = engine.spec.image_dims.clone();
     let mut exec = WorkerExec::new(threads, watchdog);
-    let mut engine = Engine::new(spec, kernels, policy, threads);
     let breaker = &shared.breaker;
     let mut batch_id: u64 = 0;
     let stats = &shared.stats;
@@ -875,7 +866,7 @@ mod tests {
     fn im2col_rung_matches_winograd_rung() {
         let spec = spec_1layer();
         let kernels = kernels_for(&spec);
-        let mut engine = Engine::new(spec, kernels, FallbackPolicy::default(), 1);
+        let mut engine = Engine::new(spec, kernels, FallbackPolicy::default(), 1).unwrap();
         let img = input();
         let (full, _) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
         let (base, reports) = engine.run(&img, DegradeLevel::Im2col, &SerialExecutor).unwrap();
@@ -890,6 +881,16 @@ mod tests {
     }
 
     #[test]
+    fn first_batch1_request_reuses_the_start_time_plan() {
+        let spec = spec_1layer();
+        let kernels = kernels_for(&spec);
+        let mut engine = Engine::new(spec, kernels, FallbackPolicy::default(), 1).unwrap();
+        assert_eq!(engine.plans.len(), 1, "the batch-1 plan is built up front");
+        engine.run(&input(), DegradeLevel::Full, &SerialExecutor).unwrap();
+        assert_eq!(engine.plans.len(), 1, "a batch-1 request must not plan again");
+    }
+
+    #[test]
     fn strided_spec_ladder_rungs_agree() {
         // A stride-2 spec: the Full rung runs the polyphase dispatcher,
         // the bottom rung the geometry-aware im2col baseline — same
@@ -897,7 +898,7 @@ mod tests {
         let mut spec = spec_1layer();
         spec.opts = spec.opts.with_stride(&[2, 2]);
         let kernels = kernels_for(&spec);
-        let mut engine = Engine::new(spec, kernels, FallbackPolicy::default(), 1);
+        let mut engine = Engine::new(spec, kernels, FallbackPolicy::default(), 1).unwrap();
         let img = input();
         let (full, reports_full) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
         assert_eq!(full.dims, vec![3, 3]); // (6 + 2 − 3)/2 + 1

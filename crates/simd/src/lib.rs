@@ -9,9 +9,14 @@
 //! * **scalar** — a `[f32; 16]` array written so LLVM auto-vectorises it.
 //!
 //! Like the paper's artifact (which is compiled *for* the Xeon Phi), the
-//! backend is chosen statically: build with `-C target-cpu=native` (the
-//! workspace `.cargo/config.toml` does this) and the best available ISA is
-//! used. All higher layers are written against `F32x16` only, so they are
+//! backend is chosen statically, from the target features the crate is
+//! compiled with. The default build sets no `target-cpu`, so it is
+//! portable and uses the scalar backend; build with
+//! `RUSTFLAGS="-C target-cpu=native"` to get the best ISA of the build
+//! machine. (Stage 2 does not depend on this choice where the CPU has
+//! AVX-512F: the default engine there is `wino-jit`, which emits its own
+//! AVX-512 code and is detected at run time via [`cpu_has_avx512f`].)
+//! All higher layers are written against `F32x16` only, so they are
 //! ISA-agnostic — exactly the structure the paper describes ("the rest of
 //! the code can be fully reused", §6).
 //!

@@ -26,7 +26,7 @@ cargo test --workspace 2>&1 | tee test_output.txt | grep -E "test result" | tail
 
 mkdir -p results
 echo "== Figure 5 (layer runtimes; ~minutes, FFT rows dominate) =="
-target/release/fig5 --reps 2 --jit --threads "$THREADS" $FULL > results/fig5_results.csv
+target/release/fig5 --reps 2 --mono --threads "$THREADS" $FULL > results/fig5_results.csv
 echo "   -> results/fig5_results.csv"
 
 echo "== Figure 6 (batched GEMM throughput per V-hat size) =="

@@ -97,7 +97,7 @@ fn worker_panic_is_contained_and_pool_survives() {
     let (out, report) = net
         .run_layer(0, &input, &kernels, &exec, &FallbackPolicy::default())
         .expect("pool must be reusable after a contained panic");
-    assert_eq!(report.backend, LayerBackend::WinogradMono);
+    assert_eq!(report.backend, ConvOptions::default().winograd_backend());
     assert_eq!(report.fallback, None);
     assert_close(&out, &clean_reference(&[2, 2]), 1e-5, "post-panic rerun");
 
@@ -263,7 +263,7 @@ fn run_net_reports_attribute_fallbacks_per_layer() {
     assert_eq!(reports[0].layer, 0);
     assert_eq!(reports[0].backend, LayerBackend::Im2col);
     assert!(matches!(reports[0].fallback, Some(FallbackReason::NumericGuard(_))));
-    assert_eq!(reports[1].backend, LayerBackend::WinogradMono);
+    assert_eq!(reports[1].backend, ConvOptions::default().winograd_backend());
     assert_eq!(reports[1].fallback, None);
     assert_close(&got, &want, 1e-4, "two-layer rescue");
 
@@ -343,7 +343,7 @@ fn corruption_with_sampling_disabled_goes_undetected() {
     let (out, report) = net
         .run_layer(0, &input, &kernels, &exec, &policy)
         .expect("finite corruption must not error without sentinels");
-    assert_eq!(report.backend, LayerBackend::WinogradMono);
+    assert_eq!(report.backend, ConvOptions::default().winograd_backend());
     assert_eq!(report.fallback, None, "no detector ran, so nothing to report");
     assert!(
         max_abs_diff(&out, &reference) > 1.0,
@@ -487,7 +487,7 @@ fn oom_during_plan_seeding_is_deferred_not_fatal() {
     let (out, report) = net
         .run_layer(0, &input, &kernels, &SerialExecutor, &FallbackPolicy::default())
         .expect("pressure lifted: the unseeded net must run");
-    assert_eq!(report.backend, LayerBackend::WinogradMono);
+    assert_eq!(report.backend, ConvOptions::default().winograd_backend());
     assert_eq!(report.fallback, None);
     assert_close(&out, &clean_reference(&[2, 2]), 1e-5, "post-seeding-refusal run");
 }
@@ -599,7 +599,7 @@ fn oom_injection_disarmed_is_a_clean_run() {
     let (out, report) = net
         .run_layer(0, &input, &kernels, &SerialExecutor, &FallbackPolicy::default())
         .expect("clean run");
-    assert_eq!(report.backend, LayerBackend::WinogradMono);
+    assert_eq!(report.backend, ConvOptions::default().winograd_backend());
     assert_eq!(report.fallback, None);
     assert_eq!(mem_fault::injected_failures(), 0);
     assert_eq!(Counter::MemoryDemotions.get(), demotions);

@@ -3,7 +3,7 @@
 //! bit-identical outputs, and JIT-generated GEMM kernels must agree with
 //! the monomorphised engine on convolution-shaped problems.
 
-use winograd_nd_repro::conv::{ConvOptions, Scratch, WinogradLayer};
+use winograd_nd_repro::conv::{ConvOptions, Scratch, Stage2Backend, WinogradLayer};
 use winograd_nd_repro::gemm;
 use winograd_nd_repro::jit::{jit_batched_gemm, JitKernelPair};
 use winograd_nd_repro::sched::{DynamicExecutor, Executor, SerialExecutor, StaticExecutor};
@@ -44,23 +44,37 @@ fn all_executors_and_thread_counts_agree() {
 
 #[test]
 fn ablation_toggles_preserve_results_in_parallel() {
+    // Bitwise schedule invariance holds within each stage-2 engine (the
+    // two engines order their FMAs differently, so not across them).
     let shape = ConvShape::new(1, 32, 48, &[12, 12], &[3, 3], &[1, 1]).unwrap();
     let (input, kernels) = setup(&shape);
     let exec = StaticExecutor::new(4);
-    let mut outputs = Vec::new();
-    for streaming in [true, false] {
-        for schedule in wino_conv::Schedule::ALL {
-            let opts =
-                ConvOptions { streaming_stores: streaming, schedule, ..Default::default() };
-            let plan = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
-            let mut scratch = Scratch::new(&plan, exec.threads());
-            let mut out = plan.new_output().unwrap();
-            plan.forward(&input, &kernels, &mut out, &mut scratch, &exec).unwrap();
-            outputs.push(out.as_slice().to_vec());
+    let engines: &[Stage2Backend] = if winograd_nd_repro::simd::cpu_has_avx512f() {
+        &[Stage2Backend::Mono, Stage2Backend::Jit]
+    } else {
+        &[Stage2Backend::Mono]
+    };
+    for &stage2 in engines {
+        let mut outputs = Vec::new();
+        for streaming in [true, false] {
+            for schedule in wino_conv::Schedule::ALL {
+                let opts = ConvOptions {
+                    streaming_stores: streaming,
+                    schedule,
+                    stage2,
+                    ..Default::default()
+                };
+                let plan = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
+                assert_eq!(plan.opts.stage2, stage2);
+                let mut scratch = Scratch::new(&plan, exec.threads());
+                let mut out = plan.new_output().unwrap();
+                plan.forward(&input, &kernels, &mut out, &mut scratch, &exec).unwrap();
+                outputs.push(((streaming, schedule), out.as_slice().to_vec()));
+            }
         }
-    }
-    for o in &outputs[1..] {
-        assert_eq!(o, &outputs[0]);
+        for (toggles, o) in &outputs[1..] {
+            assert_eq!(o, &outputs[0].1, "{stage2:?} {toggles:?}");
+        }
     }
 }
 

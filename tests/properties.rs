@@ -153,12 +153,13 @@ fn blocked_kernel_roundtrip() {
 
 // ---------------------------------------------------------------------------
 // Differential schedule sweep: random layers, all three stage schedules
-// (unfused / fused-scatter / pipelined) against the extended-precision
-// direct oracle, with a greedy minimal-shrink report on failure.
+// (unfused / fused-scatter / pipelined) on each pinned stage-2 engine
+// against the extended-precision direct oracle, with a greedy
+// minimal-shrink report on failure.
 // ---------------------------------------------------------------------------
 
 use winograd_nd_repro::baseline::direct_f64_geo;
-use winograd_nd_repro::conv::{plan_dispatch, ConvOptions, FallbackPolicy, Schedule};
+use winograd_nd_repro::conv::{plan_dispatch, ConvOptions, FallbackPolicy, Schedule, Stage2Backend};
 use winograd_nd_repro::sched::SerialExecutor;
 use winograd_nd_repro::tensor::ConvShape;
 
@@ -228,10 +229,14 @@ fn draw_case(rng: &mut Rng) -> SweepCase {
     }
 }
 
-/// Run one case through the dispatch layer under every schedule. `None`
-/// means it passed; `Some` carries the failure description. Every route
-/// — direct Winograd, polyphase, grouped, im2col — is judged against the
-/// same f64 oracle, and all schedules must agree bitwise.
+/// Run one case through the dispatch layer under every schedule, once per
+/// pinned stage-2 engine: the JIT (the default where AVX-512F is present)
+/// and mono (the only engine elsewhere, and the serve breaker's rung).
+/// `None` means it passed; `Some` carries the failure description. Every
+/// route — direct Winograd, polyphase, grouped, im2col — is judged
+/// against the same f64 oracle, and within each engine all schedules must
+/// agree bitwise. (The engines schedule their FMAs differently, so they
+/// may differ from each other in the last bit.)
 fn sweep_failure(case: &SweepCase) -> Option<String> {
     let cg = case.c / case.groups;
     let img = SimpleImage::from_fn(case.batch, case.c, &case.dims, |b, ch, xy| {
@@ -270,35 +275,44 @@ fn sweep_failure(case: &SweepCase) -> Option<String> {
     };
 
     let policy = FallbackPolicy::default();
-    let mut outputs: Vec<(Schedule, Vec<f32>)> = Vec::new();
-    for schedule in Schedule::ALL {
-        let opts = ConvOptions { schedule, ..base_opts };
-        let (dp, _fb) = match plan_dispatch(&shape, &case.m, opts, &policy) {
-            Ok(v) => v,
-            Err(e) => return Some(format!("dispatch rejected [{}]: {e:?}", schedule.name())),
-        };
-        let mut out = match dp.new_output() {
-            Ok(o) => o,
-            Err(e) => return Some(format!("output alloc [{}]: {e:?}", schedule.name())),
-        };
-        if let Err(e) = dp.forward(&bi, &bk, &mut out, &SerialExecutor) {
-            return Some(format!("forward failed [{}]: {e:?}", schedule.name()));
+    let engines: &[Stage2Backend] = if winograd_nd_repro::simd::cpu_has_avx512f() {
+        &[Stage2Backend::Jit, Stage2Backend::Mono]
+    } else {
+        &[Stage2Backend::Mono]
+    };
+    for &stage2 in engines {
+        let mut outputs: Vec<(Schedule, Vec<f32>)> = Vec::new();
+        for schedule in Schedule::ALL {
+            let at = format!("{stage2:?}/{}", schedule.name());
+            let opts = ConvOptions { schedule, stage2, ..base_opts };
+            let (dp, _fb) = match plan_dispatch(&shape, &case.m, opts, &policy) {
+                Ok(v) => v,
+                Err(e) => return Some(format!("dispatch rejected [{at}]: {e:?}")),
+            };
+            let mut out = match dp.new_output() {
+                Ok(o) => o,
+                Err(e) => return Some(format!("output alloc [{at}]: {e:?}")),
+            };
+            if let Err(e) = dp.forward(&bi, &bk, &mut out, &SerialExecutor) {
+                return Some(format!("forward failed [{at}]: {e:?}"));
+            }
+            let (max_err, _) = element_errors(&out.to_simple(), &truth);
+            // Scale-aware fp32 bound: inputs are O(0.1)·O(0.2) products
+            // summed over ≤ c·∏r terms, and the α ≤ 7 transforms amplify
+            // roundoff.
+            if max_err >= 5e-3 {
+                return Some(format!("[{at}] max err {max_err} vs oracle"));
+            }
+            outputs.push((schedule, out.as_slice().to_vec()));
         }
-        let (max_err, _) = element_errors(&out.to_simple(), &truth);
-        // Scale-aware fp32 bound: inputs are O(0.1)·O(0.2) products summed
-        // over ≤ c·∏r terms, and the α ≤ 7 transforms amplify roundoff.
-        if max_err >= 5e-3 {
-            return Some(format!("[{}] max err {max_err} vs oracle", schedule.name()));
-        }
-        outputs.push((schedule, out.as_slice().to_vec()));
-    }
-    for (s, o) in &outputs[1..] {
-        if o != &outputs[0].1 {
-            return Some(format!(
-                "schedule {} diverged bitwise from {}",
-                s.name(),
-                outputs[0].0.name()
-            ));
+        for (s, o) in &outputs[1..] {
+            if o != &outputs[0].1 {
+                return Some(format!(
+                    "{stage2:?}: schedule {} diverged bitwise from {}",
+                    s.name(),
+                    outputs[0].0.name()
+                ));
+            }
         }
     }
     None

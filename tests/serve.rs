@@ -28,6 +28,16 @@ fn model() -> (ModelSpec, Vec<BlockedKernels>) {
     (spec, kernels)
 }
 
+/// Armed faults are process-global, and any test that runs the engine
+/// would consume a fault armed by a concurrently running one. Under
+/// `fault-inject` every test in this file therefore holds the fault lock.
+fn fault_isolation() -> Option<std::sync::MutexGuard<'static, ()>> {
+    #[cfg(feature = "fault-inject")]
+    return Some(winograd_nd_repro::sched::fault::test_lock());
+    #[cfg(not(feature = "fault-inject"))]
+    None
+}
+
 fn request() -> BlockedImage {
     let mut img = BlockedImage::zeros(1, 16, &[6, 6]).unwrap();
     for (i, v) in img.as_mut_slice().iter_mut().enumerate() {
@@ -40,6 +50,7 @@ fn request() -> BlockedImage {
 /// the typed back-pressure error — and still shuts down cleanly.
 #[test]
 fn capacity_zero_sheds_every_request() {
+    let _isolation = fault_isolation();
     let (spec, kernels) = model();
     let opts = ServeOptions { queue_capacity: 0, ..Default::default() };
     let server = Server::start(spec, kernels, opts).unwrap();
@@ -61,6 +72,7 @@ fn capacity_zero_sheds_every_request() {
 /// per-request accounting.
 #[test]
 fn batch_of_one_is_served_with_accounting() {
+    let _isolation = fault_isolation();
     let (spec, kernels) = model();
     let server = Server::start(spec, kernels, ServeOptions::default()).unwrap();
     let ticket = server.submit(request(), Duration::from_secs(30)).unwrap();
@@ -82,6 +94,7 @@ fn batch_of_one_is_served_with_accounting() {
 /// no ticket, no queue slot consumed.
 #[test]
 fn deadline_expired_at_enqueue_is_shed() {
+    let _isolation = fault_isolation();
     let (spec, kernels) = model();
     let server = Server::start(spec, kernels, ServeOptions::default()).unwrap();
     match server.submit(request(), Duration::ZERO) {
@@ -98,6 +111,7 @@ fn deadline_expired_at_enqueue_is_shed() {
 /// miss for any finite deadline and sheds with the estimate attached.
 #[test]
 fn predictive_admission_sheds_with_typed_estimate() {
+    let _isolation = fault_isolation();
     let (spec, kernels) = model();
     let opts = ServeOptions {
         service: Some(ServiceModel::from_measurement(1e6, 0.0)),
@@ -119,6 +133,7 @@ fn predictive_admission_sheds_with_typed_estimate() {
 /// every ticket resolves with an output.
 #[test]
 fn shutdown_drains_queued_requests() {
+    let _isolation = fault_isolation();
     let (spec, kernels) = model();
     let opts = ServeOptions { max_batch: 2, ..Default::default() };
     let server = Server::start(spec, kernels, opts).unwrap();
@@ -138,6 +153,7 @@ fn shutdown_drains_queued_requests() {
 /// into one batch that closes as soon as `max_batch` is reached.
 #[test]
 fn requests_coalesce_into_one_batch() {
+    let _isolation = fault_isolation();
     let (spec, kernels) = model();
     let opts = ServeOptions {
         max_batch: 4,
@@ -165,6 +181,7 @@ fn requests_coalesce_into_one_batch() {
 /// each de-batched output matches the f64 geometry oracle.
 #[test]
 fn strided_model_serves_batched_requests() {
+    let _isolation = fault_isolation();
     let mut spec = ModelSpec::new(16, vec![8, 8], vec![LayerSpec::same(16, 2, 3, 2)]);
     spec.opts = ConvOptions::default().with_stride(&[2, 2]);
     assert_eq!(spec.output_geometry().unwrap(), (16, vec![4, 4]));
@@ -233,6 +250,7 @@ fn strided_model_serves_batched_requests() {
 /// tallies reconcile with the server's.
 #[test]
 fn every_submission_resolves_to_exactly_one_outcome() {
+    let _isolation = fault_isolation();
     let (spec, kernels) = model();
     let opts = ServeOptions { queue_capacity: 4, ..Default::default() };
     let server = std::sync::Arc::new(Server::start(spec, kernels, opts).unwrap());
